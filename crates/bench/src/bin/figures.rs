@@ -88,8 +88,8 @@ fn main() {
         let t0 = std::time::Instant::now();
         let report = bio_bench::crash::run(crash_seeds);
         let secs = t0.elapsed().as_secs_f64();
-        // Throughput goes to stderr: stdout stays byte-identical between
-        // capture modes (BIO_FORK_CAPTURE) and machines.
+        // Throughput goes to stderr: stdout stays byte-identical across
+        // machines and runs.
         eprintln!(
             "[crash-enum] points={} elapsed_s={:.2} points_per_s={:.0}",
             report.total_points,

@@ -19,10 +19,8 @@
 //!
 //! # Capture architecture: zero-clone + delta snapshots
 //!
-//! The first generation of this engine called [`IoStack::fork`] at every
-//! commit — a deep clone of the calendar queue, journal, lanes and device
-//! models — only to flatten the fork into a plain-data [`CrashPoint`] and
-//! drop it. Capture is now two-tier:
+//! A capture never copies the stack; it flattens the live state into a
+//! plain-data [`CrashPoint`] in one of two ways:
 //!
 //! 1. **Zero-clone capture** — [`extract_point`] reads the live stack
 //!    through borrowed accessors (`&AppendLog` tail, cache snapshot,
@@ -36,9 +34,9 @@
 //!    O(log length). The shared parts are immutable behind `Arc`;
 //!    copy-on-write (`Arc::make_mut`) keeps retained points intact.
 //!
-//! The fork-based path stays alive behind `BIO_FORK_CAPTURE=1` (or
-//! [`CaptureMode::Fork`]) as a differential reference: both paths must
-//! produce bit-identical [`CrashPoint`]s, verdicts and dedup counts.
+//! The crash engine always captures through the cursor; a full read via
+//! [`extract_point`] is the reference it must equal at every commit
+//! (`tests/capture_equivalence.rs` runs both in lockstep).
 //!
 //! Subset/group spaces are enumerated exhaustively up to [`MAX_FREE_BITS`]
 //! free choices per device and [`MAX_IMAGES_PER_POINT`] images per capture
@@ -124,7 +122,7 @@ impl DeviceState {
     /// Captures one device through borrowed accessors. With a cursor the
     /// shared parts are `Arc`-clones of the cursor's delta-maintained
     /// copies (O(1)); without one they are materialized from the device
-    /// (O(state), the fork-path reference behaviour).
+    /// (O(state), the full-read reference behaviour).
     fn capture(dev: &Device, cursor: Option<&DeviceCursor>) -> DeviceState {
         let log = dev.append_log();
         DeviceState {
@@ -191,7 +189,7 @@ impl CrashPoint {
 }
 
 /// Snapshots a stack into a plain-data crash point through borrowed
-/// accessors — no fork, no shared state with any cursor.
+/// accessors — no copy of the stack, no shared state with any cursor.
 pub fn extract_point(stack: &IoStack) -> CrashPoint {
     CrashPoint::capture(stack, None)
 }
@@ -321,27 +319,6 @@ impl CaptureCursor {
 impl Default for CaptureCursor {
     fn default() -> CaptureCursor {
         CaptureCursor::new()
-    }
-}
-
-/// How crash points are captured from the running trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CaptureMode {
-    /// Zero-clone capture with delta snapshots (the default).
-    Delta,
-    /// Deep-fork the whole stack at every commit (the first-generation
-    /// path, kept as a differential reference).
-    Fork,
-}
-
-impl CaptureMode {
-    /// `BIO_FORK_CAPTURE=1` selects the fork-based reference path.
-    pub fn from_env() -> CaptureMode {
-        if std::env::var("BIO_FORK_CAPTURE").is_ok_and(|v| v == "1") {
-            CaptureMode::Fork
-        } else {
-            CaptureMode::Delta
-        }
     }
 }
 
@@ -893,7 +870,7 @@ pub struct CellOutcome {
 
 /// Builds one differential trace cell: a single thread of `TRACE_OPS`
 /// write+sync pairs over a 64-block region, 1 µs journal tick.
-fn trace_stack(mut cfg: StackConfig, sync: SyncMode, seed: u64) -> IoStack {
+pub fn trace_stack(mut cfg: StackConfig, sync: SyncMode, seed: u64) -> IoStack {
     cfg.seed = seed;
     cfg.fs.timer_tick = SimDuration::from_micros(1);
     let mut stack = IoStack::new(cfg);
@@ -910,17 +887,9 @@ fn trace_stack(mut cfg: StackConfig, sync: SyncMode, seed: u64) -> IoStack {
 /// Runs one trace, calling `on_point` with the crash point captured at
 /// every journal commit. Ends at journal quiescence once all workloads
 /// finished (with [`STALE_STEP_LIMIT`] as a backstop).
-fn drive<F: FnMut(CrashPoint)>(
-    cfg: StackConfig,
-    sync: SyncMode,
-    seed: u64,
-    mode: CaptureMode,
-    mut on_point: F,
-) {
+fn drive<F: FnMut(CrashPoint)>(cfg: StackConfig, sync: SyncMode, seed: u64, mut on_point: F) {
     let mut stack = trace_stack(cfg, sync, seed);
-    if mode == CaptureMode::Delta {
-        stack.enable_capture_tracking();
-    }
+    stack.enable_capture_tracking();
     let mut cursor = CaptureCursor::new();
     let mut commits = 0usize;
     let mut stale = 0u64;
@@ -929,14 +898,7 @@ fn drive<F: FnMut(CrashPoint)>(
         if n > commits {
             commits = n;
             stale = 0;
-            let point = match mode {
-                CaptureMode::Delta => cursor.capture(&mut stack),
-                CaptureMode::Fork => {
-                    let snap = stack.fork();
-                    extract_point(&snap)
-                }
-            };
-            on_point(point);
+            on_point(cursor.capture(&mut stack));
         } else {
             stale += 1;
             if stale > STALE_STEP_LIMIT {
@@ -952,43 +914,18 @@ fn drive<F: FnMut(CrashPoint)>(
     }
 }
 
-/// Captures (without enumerating) every crash point of one trace — the
-/// differential-testing surface for [`CaptureMode::Delta`] vs
-/// [`CaptureMode::Fork`] bit-identity.
-pub fn capture_points(
-    cfg: StackConfig,
-    sync: SyncMode,
-    seed: u64,
-    mode: CaptureMode,
-) -> Vec<CrashPoint> {
-    let mut points = Vec::new();
-    drive(cfg, sync, seed, mode, |p| points.push(p));
-    points
-}
-
 /// Runs one trace to completion, capturing the stack at every journal
 /// commit and enumerating the capture point's admissible crash images.
-pub fn enumerate_trace_with(
-    cfg: StackConfig,
-    sync: SyncMode,
-    seed: u64,
-    mode: CaptureMode,
-) -> CellOutcome {
+pub fn enumerate_trace(cfg: StackConfig, sync: SyncMode, seed: u64) -> CellOutcome {
     let mut points = Vec::new();
-    drive(cfg, sync, seed, mode, |p| {
+    drive(cfg, sync, seed, |p| {
         points.push(enumerate_point(&p, sample_seed(seed, p.commit_idx)));
     });
     CellOutcome { points }
 }
 
-/// [`enumerate_trace_with`] under the environment-selected capture mode
-/// (`BIO_FORK_CAPTURE=1` for the fork-based reference path).
-pub fn enumerate_trace(cfg: StackConfig, sync: SyncMode, seed: u64) -> CellOutcome {
-    enumerate_trace_with(cfg, sync, seed, CaptureMode::from_env())
-}
-
 /// Deterministic per-point sampling seed: same trace seed and commit
-/// index → same sampled draws, in both capture modes.
+/// index → same sampled draws.
 fn sample_seed(trace_seed: u64, commit_idx: usize) -> u64 {
     trace_seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -1515,18 +1452,6 @@ mod tests {
         let other = enumerate_point(&p, 43);
         assert_eq!(other.images, out.images);
         assert_eq!(other.duplicates, out.duplicates);
-    }
-
-    #[test]
-    fn delta_capture_is_bit_identical_to_fork_capture() {
-        for (_, group) in diff_stacks() {
-            for (label, mk_cfg, sync) in group {
-                let delta = capture_points(mk_cfg(), sync, 3, CaptureMode::Delta);
-                let fork = capture_points(mk_cfg(), sync, 3, CaptureMode::Fork);
-                assert!(!delta.is_empty(), "{label}: no capture points");
-                assert_eq!(delta, fork, "{label}: capture paths diverge");
-            }
-        }
     }
 
     #[test]

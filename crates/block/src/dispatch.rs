@@ -192,7 +192,7 @@ pub struct LaneStats {
 }
 
 /// One `(device, hardware queue)` lane: scheduler plus dispatch state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Lane {
     sched: EpochScheduler,
     /// A dispatched request the device bounced; retried on `Retry`.
@@ -220,7 +220,7 @@ impl Lane {
 /// ids to complete when the last part lands. A preflush write's phase-1
 /// flush fan-out additionally parks the write itself in `then`, admitted
 /// once every device has drained its cache.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SplitState {
     remaining: u32,
     ids: Vec<ReqId>,
@@ -230,7 +230,7 @@ struct SplitState {
 /// An in-flight device command: the bio ids it answers for, plus the
 /// write-payload buffer to hand back to the submitter's arena when the
 /// command completes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct InflightCmd {
     ids: Vec<ReqId>,
     payload: Vec<BlockTag>,
@@ -242,12 +242,7 @@ const RECLAIM_POOL_CAP: usize = 64;
 
 /// The order-preserving block device layer over an N-queue × M-device
 /// lane topology.
-///
-/// `Clone` deep-copies the layer — lanes (schedulers included, via
-/// `IoScheduler::clone_box`), devices, in-flight tables and sequencer
-/// state — so a clone evolves bit-identically under the same event
-/// stream. This is the `bio-block` leg of stack `fork()`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BlockLayer {
     topology: Topology,
     mode: DispatchMode,

@@ -53,20 +53,6 @@ pub struct EpochScheduler {
     epochs_released: u64,
 }
 
-impl Clone for EpochScheduler {
-    fn clone(&self) -> Self {
-        EpochScheduler {
-            inner: self.inner.clone_box(),
-            pending: self.pending.clone(),
-            blocked: self.blocked,
-            barrier_owed: self.barrier_owed,
-            coordinated: self.coordinated,
-            reassignments: self.reassignments,
-            epochs_released: self.epochs_released,
-        }
-    }
-}
-
 impl EpochScheduler {
     /// Wraps an inner scheduler (self-contained single-lane mode).
     pub fn new(inner: Box<dyn IoScheduler + Send>) -> EpochScheduler {
@@ -160,10 +146,6 @@ impl EpochScheduler {
 }
 
 impl IoScheduler for EpochScheduler {
-    fn clone_box(&self) -> Box<dyn IoScheduler + Send> {
-        Box::new(self.clone())
-    }
-
     fn enqueue(&mut self, req: BlockRequest) {
         if self.blocked {
             self.pending.push_back(req);

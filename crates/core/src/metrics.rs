@@ -7,7 +7,7 @@ use bio_sim::{LatencyHistogram, LatencySummary, SimDuration, SimTime};
 use crate::ops::OpKind;
 
 /// Accumulated metrics for one operation kind.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct OpMetrics {
     /// Completed operations.
     pub count: u64,
@@ -29,14 +29,14 @@ impl OpMetrics {
 }
 
 /// Live metrics collector.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Metrics {
     ops: HashMap<OpKind, OpMetrics>,
     /// Application transactions completed (TxnMark ops).
     pub txns: u64,
     started: SimTime,
     /// Completions referencing a thread this stack never created
-    /// (forged or cross-fork events, dropped instead of panicking).
+    /// (forged or foreign events, dropped instead of panicking).
     pub dropped_wakeups: u64,
 }
 

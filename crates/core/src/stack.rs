@@ -45,21 +45,6 @@ struct WThread {
     op_started: SimTime,
 }
 
-impl Clone for WThread {
-    fn clone(&self) -> Self {
-        WThread {
-            workload: self.workload.fork().expect(
-                "IoStack::fork() requires forkable workloads (Workload::fork returned None)",
-            ),
-            slots: self.slots.clone(),
-            state: self.state,
-            rng: self.rng.clone(),
-            current_kind: self.current_kind,
-            op_started: self.op_started,
-        }
-    }
-}
-
 /// Full report of one run: per-op metrics plus device/fs/block counters.
 #[derive(Debug, Clone)]
 pub struct StackReport {
@@ -151,10 +136,6 @@ pub struct IoStack {
     /// Threads in the terminal `Finished` state (the all-done check must
     /// run between consecutive events, so it has to be O(1)).
     finished_threads: usize,
-    /// `BIO_SINGLE_STEP` escape hatch: drain one event per queue visit,
-    /// mirroring the pre-batching loop (the equivalence suite runs the
-    /// full figure pipeline both ways and diffs the bytes).
-    single_step: bool,
 }
 
 /// Upper bound on events drained per cohort visit; a cohort larger than
@@ -200,7 +181,6 @@ impl IoStack {
             cohort: Vec::new(),
             cohort_pos: 0,
             finished_threads: 0,
-            single_step: std::env::var_os("BIO_SINGLE_STEP").is_some_and(|v| v != "0"),
             cfg,
         };
         // Arm the filesystem's periodic tasks through the router.
@@ -212,44 +192,6 @@ impl IoStack {
     /// The configuration.
     pub fn config(&self) -> &StackConfig {
         &self.cfg
-    }
-
-    /// Forks the stack: a deep, independent copy of every layer — event
-    /// queue, filesystem (transaction table, arenas), block layer (lanes,
-    /// schedulers, in-flight splits), devices (FTL, cache, command queue,
-    /// append log) and workload threads. Running the fork and the
-    /// original produces bit-identical futures, and neither observes the
-    /// other (crash-point enumeration forks at an epoch boundary instead
-    /// of replaying from t=0).
-    ///
-    /// # Panics
-    ///
-    /// Panics when any workload thread is not forkable
-    /// ([`Workload::fork`] returns `None`, e.g. [`crate::FnWorkload`]).
-    pub fn fork(&self) -> IoStack {
-        debug_assert!(self.fs_sink.is_empty(), "sinks are drained between events");
-        debug_assert!(
-            self.block_sink.is_empty(),
-            "sinks are drained between events"
-        );
-        IoStack {
-            cfg: self.cfg.clone(),
-            q: self.q.clone(),
-            fs: self.fs.clone(),
-            block: self.block.clone(),
-            threads: self.threads.clone(),
-            metrics: self.metrics.clone(),
-            congested: self.congested.clone(),
-            global_files: self.global_files.clone(),
-            measure_start: self.measure_start,
-            dev_blocks_at_start: self.dev_blocks_at_start,
-            fs_sink: ActionSink::new(),
-            block_sink: ActionSink::new(),
-            cohort: self.cohort.clone(),
-            cohort_pos: self.cohort_pos,
-            finished_threads: self.finished_threads,
-            single_step: self.single_step,
-        }
     }
 
     /// Current simulated time.
@@ -411,7 +353,7 @@ impl IoStack {
     fn complete_op(&mut self, tid: ThreadId) {
         let now = self.q.now();
         // A completion for a thread id this stack never created is a
-        // forged or cross-fork event: drop it with a counter (handlers
+        // forged or foreign event: drop it with a counter (handlers
         // are total; see docs/INVARIANTS.md).
         let Some(th) = self.threads.get_mut(tid.0 as usize) else {
             self.metrics.note_dropped_wakeup();
@@ -627,7 +569,6 @@ impl IoStack {
     /// the loop stops at that point, leaving any unprocessed cohort
     /// remainder buffered for the next run call.
     fn drive(&mut self, deadline: SimTime, until_done: bool) -> bool {
-        let cohort_max = if self.single_step { 1 } else { COHORT_MAX };
         loop {
             if until_done && self.all_threads_finished() {
                 return true;
@@ -638,7 +579,7 @@ impl IoStack {
                 let mut buf = std::mem::take(&mut self.cohort);
                 let n = self
                     .q
-                    .pop_batch_at_or_before(deadline, &mut buf, cohort_max);
+                    .pop_batch_at_or_before(deadline, &mut buf, COHORT_MAX);
                 self.cohort = buf;
                 if n == 0 {
                     return false;

@@ -94,7 +94,7 @@ enum DrainKind {
 /// a [`RunSet`] of sorted runs (usually exactly one), not a hash set:
 /// membership updates are a binary search over a handful of runs instead
 /// of a hash+probe per program completion.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Drain {
     id: CmdId,
     remaining: RunSet,
@@ -118,7 +118,7 @@ enum Stage {
     Draining,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ActiveCmd {
     cmd: Command,
     stage: Stage,
@@ -140,7 +140,7 @@ struct DestageInfo {
 /// it into the crash enumerator, so the order must be reproducible
 /// across processes. `open` members are only probed (`contains`), never
 /// iterated, so the hash set stays.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct TransState {
     open: Option<(u64, HashSet<u64>)>,
     next_gid: u64,
@@ -182,12 +182,7 @@ pub struct DeviceStats {
 }
 
 /// The simulated storage device.
-///
-/// `Clone` deep-copies the whole machine — queue, cache, FTL, chips,
-/// append log, in-flight bookkeeping and RNG — so a clone evolves
-/// bit-identically to the original under the same event stream. This is
-/// the `bio-flash` leg of stack `fork()`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Device {
     profile: DeviceProfile,
     rng: SimRng,
@@ -312,7 +307,7 @@ impl Device {
 
     /// The append log (durable prefix + in-flight tail). The crash
     /// enumerator reads this to construct every admissible crash image at
-    /// a fork point instead of the single sampled one.
+    /// a capture point instead of the single sampled one.
     pub fn append_log(&self) -> &AppendLog {
         &self.log
     }

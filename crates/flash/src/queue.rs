@@ -27,7 +27,7 @@ use crate::types::{CmdId, Command, Priority};
 /// [`CommandQueue::pick`]: the admit record rides with the command instead
 /// of living in a side map, so it can neither leak when a command leaves
 /// through an unusual path nor go missing when service begins.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct CommandQueue {
     waiting: Vec<(u64, SimTime, Command)>,
     /// `(arrival-seq, id, priority)` of commands picked but not yet

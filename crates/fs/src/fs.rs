@@ -114,7 +114,7 @@ enum SyscallState {
 /// assigned contiguously by the embedding simulator, so the table is a
 /// direct-indexed `Vec` rather than a hash map — the syscall continuation
 /// lookup sits on every request-completion path.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct ThreadTable {
     slots: Vec<Option<SyscallState>>,
 }
@@ -194,11 +194,7 @@ pub struct FsStats {
 const PAYLOAD_POOL_CAP: usize = 64;
 
 /// The simulated filesystem.
-///
-/// `Clone` is a deep copy: every table, transaction, pool and scratch
-/// buffer is duplicated, so a clone is an independent fork of the machine
-/// (the `bio-fs` leg of stack `fork()`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Filesystem {
     pub(crate) cfg: FsConfig,
     pub(crate) layout: Layout,
@@ -263,25 +259,12 @@ impl Filesystem {
     /// Creates a filesystem with the given configuration. `meta_blocks`
     /// bounds how many files can ever be created.
     pub fn new(cfg: FsConfig) -> Filesystem {
-        Filesystem::with_txn_table(cfg, TxnTable::dense())
-    }
-
-    /// Creates a filesystem whose transaction table is the `HashMap`
-    /// reference backend. Exists so equivalence tests can drive the dense
-    /// and map-backed journals through identical syscall traces; not for
-    /// production use.
-    #[doc(hidden)]
-    pub fn new_with_map_txn_table(cfg: FsConfig) -> Filesystem {
-        Filesystem::with_txn_table(cfg, TxnTable::map_reference())
-    }
-
-    fn with_txn_table(cfg: FsConfig, txns: TxnTable) -> Filesystem {
         cfg.validate();
         let layout = Layout::new(65_536, cfg.journal_blocks);
         Filesystem {
             layout,
             files: FileTable::new(),
-            txns,
+            txns: TxnTable::default(),
             running: None,
             committing: Vec::new(),
             next_txn: 1,

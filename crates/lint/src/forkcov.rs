@@ -1,15 +1,14 @@
 //! Fork-coverage analyzer.
 //!
-//! `IoStack::fork()` (PR 8) deep-copies every layer; its bit-identity
-//! and no-aliasing guarantees are proptested, but those tests only cover
-//! the fields that *exist today*. The failure mode this pass closes: a
-//! new field (say, an arena) is added to a forkable type and the
-//! hand-written `fork`/`clone` silently drops or aliases it. The same
-//! failure mode applies to the zero-clone crash-capture path (PR 10):
-//! `capture` builds a snapshot field-by-field through borrowed accessors
-//! and `delta_apply` rebuilds cursor state from a per-epoch delta — a
-//! field added to either type but not to these bodies silently vanishes
-//! from every crash image. For every non-test `fn fork`, `fn capture`,
+//! The zero-clone crash-capture path is proptested against a full read
+//! of the live stack, but those tests only cover the fields that *exist
+//! today*. The failure mode this pass closes: `capture` builds a
+//! snapshot field-by-field through borrowed accessors and `delta_apply`
+//! rebuilds cursor state from a per-epoch delta — a field added to
+//! either type but not to these bodies silently vanishes from every
+//! crash image. A hand-written `clone` (or `fork`) that copies a type
+//! field by field has the same failure mode: a new field is silently
+//! dropped or aliased. For every non-test `fn fork`, `fn capture`,
 //! `fn delta_apply` (and `fn clone` inside an `impl Clone for …`) in
 //! `src/`, whose body builds the type with an explicit struct literal
 //! (`Self { … }` / `TypeName { … }`), every declared field of that

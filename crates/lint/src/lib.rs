@@ -4,11 +4,12 @@
 //! The reproduction's correctness argument rests on three source-level
 //! invariants that, before this crate, lived only in tests and reviewer
 //! memory: **bit-exact determinism** (golden `figures` diffs,
-//! serial/parallel grid identity, fork bit-identity), **total event
+//! serial/parallel grid identity, crash-capture equivalence), **total event
 //! handlers** (the PR 3–4 panic-path purge: bad completions drop with
 //! typed errors, never abort), and the **strict 7-crate layer DAG**.
 //! This crate machine-checks all three — plus **fork coverage**, so a
-//! newly added field cannot silently alias across `fork()` — on every
+//! newly added field cannot silently go missing from a hand-written
+//! `capture`, `delta_apply` or `clone` body — on every
 //! build, with findings suppressible only through the checked-in
 //! `lint.toml` allowlist (mandatory reason strings).
 //!
