@@ -38,8 +38,19 @@
 //!   epoch is the epoch of the oldest resident entry;
 //! * `latest`/`chain_head` only ever point at resident entries;
 //! * `dirty` counts exactly the resident entries in [`EntryState::Dirty`].
+//!
+//! ## Candidate scans
+//!
+//! The device's destage pump runs on every device event, but can start at
+//! most one program per idle chip. [`WritebackCache::destage_candidates`]
+//! therefore takes a limit and a caller-owned output buffer, and stops
+//! scanning once the limit is reached (or once no later entry can
+//! qualify). One pump allocates nothing and, on the log-structured
+//! engine, visits at most the in-flight programs plus the limit:
+//! O(parallelism), not the whole cache. The per-LBA-ordered engines may
+//! also step over versions held back behind an older one of their LBA.
 
-use bio_sim::{PagedMap, SeqTable};
+use bio_sim::{PagedMap, RunSet, SeqTable};
 
 use crate::types::{BlockTag, Lba};
 
@@ -246,16 +257,17 @@ impl WritebackCache {
         self.slots.iter().next().map(|(_, s)| s.entry.epoch)
     }
 
-    /// Sequence numbers of every resident entry, in transfer order: the
-    /// snapshot a flush command must drain.
-    pub fn pending_seqs(&self) -> Vec<u64> {
-        self.slots.iter().map(|(seq, _)| seq).collect()
-    }
-
-    /// Destage candidates in transfer order.
+    /// Fills `out` with up to `limit` destage candidates in transfer order
+    /// (`out` is cleared first; the caller owns and reuses the buffer).
+    ///
+    /// The scan stops as soon as `limit` candidates are found, so its cost
+    /// is the number of entries visited up to the last candidate, not the
+    /// cache size: the destage pump can start at most one program per idle
+    /// chip, and asks for no more than that.
     ///
     /// `max_epoch` optionally gates candidates to epochs `<=` the bound
-    /// (used by the in-order writeback engine).
+    /// (used by the in-order writeback engine). Epochs are non-decreasing
+    /// in transfer order, so the scan ends at the first entry past it.
     ///
     /// With `lba_ordered` set, an entry is only eligible once every earlier
     /// resident version of the same LBA has been programmed — required for
@@ -264,9 +276,33 @@ impl WritebackCache {
     /// order, and two versions of one LBA are simply two appends, so
     /// holding the newer one back would reorder the append log and break
     /// prefix recovery.
-    pub fn destage_candidates(&self, max_epoch: Option<u64>, lba_ordered: bool) -> Vec<u64> {
-        let mut out = Vec::new();
+    ///
+    /// `keep`, when given, restricts candidates to its members (the
+    /// transactional engine's open group). It is applied before the limit,
+    /// and the scan ends past its largest member.
+    pub fn destage_candidates(
+        &self,
+        max_epoch: Option<u64>,
+        lba_ordered: bool,
+        keep: Option<&RunSet>,
+        limit: usize,
+        out: &mut Vec<u64>,
+    ) {
+        out.clear();
+        if limit == 0 {
+            return;
+        }
+        let seq_end = match keep {
+            Some(set) => match set.last() {
+                Some(last) => last + 1,
+                None => return,
+            },
+            None => u64::MAX,
+        };
         for (seq, slot) in self.slots.iter() {
+            if seq >= seq_end || max_epoch.is_some_and(|bound| slot.entry.epoch > bound) {
+                break;
+            }
             // The intrusive chain makes the per-LBA test O(1): an entry is
             // the first resident version of its LBA iff it has no older
             // resident predecessor.
@@ -276,14 +312,14 @@ impl WritebackCache {
             if slot.entry.state != EntryState::Dirty {
                 continue;
             }
-            if let Some(bound) = max_epoch {
-                if slot.entry.epoch > bound {
-                    continue;
-                }
+            if keep.is_some_and(|set| !set.contains(seq)) {
+                continue;
             }
             out.push(seq);
+            if out.len() == limit {
+                break;
+            }
         }
-        out
     }
 
     /// Marks an entry as having a flash program in flight.
@@ -343,6 +379,17 @@ impl WritebackCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every candidate (no limit, no filter) as a fresh list.
+    fn all_candidates(c: &WritebackCache, max_epoch: Option<u64>, lba_ordered: bool) -> Vec<u64> {
+        let mut out = Vec::new();
+        c.destage_candidates(max_epoch, lba_ordered, None, usize::MAX, &mut out);
+        out
+    }
+
+    fn resident_seqs(c: &WritebackCache) -> Vec<u64> {
+        c.entries_in_order().map(|(seq, _)| seq).collect()
+    }
 
     #[test]
     fn insert_and_lookup() {
@@ -405,12 +452,12 @@ mod tests {
         let s1 = c.insert(Lba(1), BlockTag(1), true); // epoch 0
         let s2 = c.insert(Lba(1), BlockTag(2), false); // epoch 1, same LBA
         let s3 = c.insert(Lba(2), BlockTag(3), false); // epoch 1
-        let cands = c.destage_candidates(None, true);
+        let cands = all_candidates(&c, None, true);
         assert_eq!(cands, vec![s1, s3], "second version of lba 1 must wait");
         // After the first version completes, the second becomes eligible.
         c.mark_destaging(s1).unwrap();
         c.complete(s1).unwrap();
-        assert_eq!(c.destage_candidates(None, true), vec![s2, s3]);
+        assert_eq!(all_candidates(&c, None, true), vec![s2, s3]);
     }
 
     #[test]
@@ -418,7 +465,7 @@ mod tests {
         let mut c = WritebackCache::new(8);
         let s1 = c.insert(Lba(1), BlockTag(1), true); // epoch 0
         let _s2 = c.insert(Lba(2), BlockTag(2), false); // epoch 1
-        assert_eq!(c.destage_candidates(Some(0), true), vec![s1]);
+        assert_eq!(all_candidates(&c, Some(0), true), vec![s1]);
         assert_eq!(c.min_pending_epoch(), Some(0));
     }
 
@@ -445,13 +492,47 @@ mod tests {
     }
 
     #[test]
-    fn pending_seqs_in_order() {
+    fn resident_seqs_in_order() {
         let mut c = WritebackCache::new(8);
         let s1 = c.insert(Lba(1), BlockTag(1), true);
         let s2 = c.insert(Lba(2), BlockTag(2), true);
         let s3 = c.insert(Lba(3), BlockTag(3), false);
-        assert_eq!(c.pending_seqs(), vec![s1, s2, s3]);
+        assert_eq!(resident_seqs(&c), vec![s1, s2, s3]);
         assert_eq!(c.dirty_count(), 3);
+    }
+
+    #[test]
+    fn candidate_scan_stops_at_limit() {
+        let mut c = WritebackCache::new(16);
+        let seqs: Vec<u64> = (0..6)
+            .map(|i| c.insert(Lba(i), BlockTag(i + 1), false))
+            .collect();
+        c.mark_destaging(seqs[0]).unwrap();
+        let mut out = vec![99];
+        c.destage_candidates(None, false, None, 2, &mut out);
+        assert_eq!(
+            out,
+            vec![seqs[1], seqs[2]],
+            "destaging entry skipped, buffer cleared"
+        );
+        c.destage_candidates(None, false, None, 0, &mut out);
+        assert!(out.is_empty());
+        c.destage_candidates(None, false, None, 100, &mut out);
+        assert_eq!(out, seqs[1..]);
+    }
+
+    #[test]
+    fn candidate_scan_applies_keep_before_limit() {
+        let mut c = WritebackCache::new(16);
+        let seqs: Vec<u64> = (0..6)
+            .map(|i| c.insert(Lba(i), BlockTag(i + 1), false))
+            .collect();
+        let keep = RunSet::from_sorted([seqs[1], seqs[3], seqs[4]]);
+        let mut out = Vec::new();
+        c.destage_candidates(None, true, Some(&keep), 2, &mut out);
+        assert_eq!(out, vec![seqs[1], seqs[3]]);
+        c.destage_candidates(None, true, Some(&RunSet::new()), 2, &mut out);
+        assert!(out.is_empty(), "an empty keep set admits nothing");
     }
 
     #[test]
@@ -491,10 +572,10 @@ mod tests {
         let s3 = c.insert(Lba(1), BlockTag(3), false); // epoch 2
                                                        // s1 is still the oldest resident version, so with per-LBA
                                                        // ordering s3 must wait behind it.
-        assert_eq!(c.destage_candidates(None, true), vec![s1]);
+        assert_eq!(all_candidates(&c, None, true), vec![s1]);
         assert_eq!(c.lookup(Lba(1)), Some(BlockTag(3)));
         c.mark_destaging(s1).unwrap();
         c.complete(s1).unwrap();
-        assert_eq!(c.destage_candidates(None, true), vec![s3]);
+        assert_eq!(all_candidates(&c, None, true), vec![s3]);
     }
 }

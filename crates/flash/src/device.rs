@@ -21,7 +21,7 @@
 //! closes the current epoch. How epochs constrain destaging is decided by
 //! the profile's [`BarrierMode`].
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use bio_sim::{RunSet, SeqTable, SimDuration, SimRng, SimTime, TimeSeries};
 
@@ -138,11 +138,12 @@ struct DestageInfo {
 ///
 /// `committed` is an ordered set: [`Device::committed_groups`] iterates
 /// it into the crash enumerator, so the order must be reproducible
-/// across processes. `open` members are only probed (`contains`), never
-/// iterated, so the hash set stays.
+/// across processes. The `open` group's members are cache sequences
+/// snapshotted in ascending order and retired one by one, like a drain,
+/// so they are a [`RunSet`].
 #[derive(Debug, Default)]
 struct TransState {
-    open: Option<(u64, HashSet<u64>)>,
+    open: Option<(u64, RunSet)>,
     next_gid: u64,
     committed: BTreeSet<u64>,
     /// When capture tracking is armed, groups committed since the last
@@ -224,6 +225,10 @@ pub struct Device {
     /// here at completion, and cache insertion draws its working copy from
     /// the pool, so the steady-state write path stops allocating.
     tag_bufs: Vec<Vec<BlockTag>>,
+    /// Reused output of the destage pump's candidate scan.
+    candidates: Vec<u64>,
+    /// Reused cache sequences of the write being inserted.
+    inserted: Vec<u64>,
 }
 
 impl Device {
@@ -255,6 +260,8 @@ impl Device {
             stats: DeviceStats::default(),
             next_pump_at: None,
             tag_bufs: Vec::new(),
+            candidates: Vec::new(),
+            inserted: Vec::new(),
             profile,
         }
     }
@@ -452,8 +459,7 @@ impl Device {
                 let remaining = if self.profile.plp {
                     RunSet::new() // PLP: cache contents already durable
                 } else {
-                    // pending_seqs is ascending (cache slab key order).
-                    RunSet::from_sorted(self.cache.pending_seqs())
+                    self.resident_seqs()
                 };
                 if remaining.is_empty() {
                     out.push(DevAction::After(
@@ -476,7 +482,7 @@ impl Device {
                     let remaining = if self.profile.plp {
                         RunSet::new()
                     } else {
-                        RunSet::from_sorted(self.cache.pending_seqs())
+                        self.resident_seqs()
                     };
                     if remaining.is_empty() {
                         // Even an empty preflush costs the controller
@@ -532,6 +538,13 @@ impl Device {
                 self.ready_for_link.push_back(id);
             }
         }
+    }
+
+    /// Every resident cache sequence: the snapshot a flush, a preflush or
+    /// a transactional group must see programmed. Transfer order is
+    /// ascending sequence order, so the runs build directly.
+    fn resident_seqs(&self) -> RunSet {
+        RunSet::from_sorted(self.cache.entries_in_order().map(|(seq, _)| seq))
     }
 
     fn start_dma(&mut self, id: CmdId, now: SimTime, out: &mut Vec<DevAction>) {
@@ -651,15 +664,17 @@ impl Device {
                 break; // wait for programs to free space
             }
             self.pending_inserts.pop_front();
-            let seqs = self.insert_blocks(id);
+            self.insert_blocks(id);
             if fua {
                 if let Some(a) = self.active.get_mut(id.0) {
                     a.stage = Stage::WaitFua;
                 }
                 self.drains.push(Drain {
                     id,
-                    // Sequences of one insert batch are consecutive.
-                    remaining: RunSet::from_sorted(seqs),
+                    // Not `from_sorted`: a block that coalesces into an
+                    // older same-epoch dirty entry takes that entry's
+                    // older sequence, so the batch need not ascend.
+                    remaining: self.inserted.iter().copied().collect(),
                     kind: DrainKind::Fua,
                 });
             } else {
@@ -670,9 +685,10 @@ impl Device {
     }
 
     /// Inserts a write command's blocks into the cache in transfer order,
-    /// honouring the barrier flag on the final block. Returns the cache
-    /// sequences of the inserted blocks.
-    fn insert_blocks(&mut self, id: CmdId) -> Vec<u64> {
+    /// honouring the barrier flag on the final block. Leaves the blocks'
+    /// cache sequences, in block order, in `self.inserted`.
+    fn insert_blocks(&mut self, id: CmdId) {
+        self.inserted.clear();
         // The working copy of the payload comes from the recycled-buffer
         // pool (the active entry keeps its own Vec until completion).
         let mut tags = self.tag_bufs.pop().unwrap_or_default();
@@ -689,15 +705,14 @@ impl Device {
             _ => None,
         }) else {
             self.reclaim_tag_buf(tags);
-            return Vec::new();
+            return;
         };
         let n = tags.len();
-        let mut seqs = Vec::with_capacity(n);
         for (i, &tag) in tags.iter().enumerate() {
             let lba = start.offset(i as u64);
             let barrier = flags.barrier && i + 1 == n;
             let seq = self.cache.insert(lba, tag, barrier);
-            seqs.push(seq);
+            self.inserted.push(seq);
             self.stats.blocks_written += 1;
             if let Some(h) = self.history.as_mut() {
                 let epoch = self.cache.entry(seq).expect("just inserted").epoch;
@@ -710,7 +725,6 @@ impl Device {
             }
         }
         self.reclaim_tag_buf(tags);
-        seqs
     }
 
     /// Banks a retired payload buffer for reuse by later inserts.
@@ -737,6 +751,16 @@ impl Device {
         drain_active || waiters || over_watermark || open_group
     }
 
+    /// Starts flash programs on idle chips for the cache entries the
+    /// barrier engine allows next. Runs after every device event, so its
+    /// cost is kept to O(parallelism), not O(cache): the candidate scan
+    /// fills a reused buffer and stops after `parallelism.max(2) + 1`
+    /// candidates. That bound is exact. Each loop iteration below either
+    /// starts a program on an idle chip or stops the loop (GC's
+    /// `delay_all` can only take chips away), and the orderless engine
+    /// shuffles a window of at most `parallelism.max(2)` entries, so a
+    /// full scan would start the same programs and draw the same random
+    /// numbers.
     fn destage_pump(&mut self, now: SimTime, out: &mut Vec<DevAction>) {
         if !self.destage_wanted() {
             return;
@@ -744,7 +768,7 @@ impl Device {
         let engine = self.profile.barrier_mode;
         // Transactional engine: open a group snapshot if none is open.
         if engine == BarrierMode::Transactional && self.trans.open.is_none() {
-            let members: HashSet<u64> = self.cache.pending_seqs().into_iter().collect();
+            let members = self.resident_seqs();
             if !members.is_empty() {
                 let gid = self.trans.next_gid;
                 self.trans.next_gid += 1;
@@ -758,18 +782,22 @@ impl Device {
         // Log-structured recovery appends strictly in transfer order (the
         // paper's §3.2 firmware); in-place engines must serialise per-LBA.
         let lba_ordered = engine != BarrierMode::LfsInOrderRecovery;
-        let mut candidates = self.cache.destage_candidates(epoch_bound, lba_ordered);
-        if let Some((_, members)) = &self.trans.open {
-            candidates.retain(|s| members.contains(s));
-        }
+        let window = self.profile.parallelism().max(2);
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.cache.destage_candidates(
+            epoch_bound,
+            lba_ordered,
+            self.trans.open.as_ref().map(|(_, members)| members),
+            window + 1,
+            &mut candidates,
+        );
         if engine == BarrierMode::Unsupported && candidates.len() > 1 {
             // Orderless controller: no ordering promise, pick within a
             // parallelism-sized window at random.
-            let w = candidates.len().min(self.profile.parallelism().max(2));
-            let head: &mut [u64] = &mut candidates[..w];
-            self.rng.shuffle(head);
+            let w = candidates.len().min(window);
+            self.rng.shuffle(&mut candidates[..w]);
         }
-        for seq in candidates {
+        for &seq in &candidates {
             // Roll/GC first so the time cost lands before chip selection.
             if let Some(gc) = self.ftl.prepare_append() {
                 let per_page = self.profile.page_read + self.profile.page_program;
@@ -803,6 +831,7 @@ impl Device {
             self.stats.programs += 1;
             out.push(DevAction::After(dur, DevEvent::ProgramDone { seq, chip }));
         }
+        self.candidates = candidates;
         // If work remains but every chip is busy and nothing is in flight
         // (GC blanket delay), schedule a wake-up at the next idle instant.
         if self.destage_wanted() && self.in_flight_programs == 0 {
@@ -829,7 +858,7 @@ impl Device {
         // Transactional group accounting.
         let mut group_committed = false;
         if let Some((gid, members)) = self.trans.open.as_mut() {
-            members.remove(&seq);
+            members.remove(seq);
             if members.is_empty() {
                 self.trans.committed.insert(*gid);
                 if let Some(log) = &mut self.trans.committed_log {
@@ -844,18 +873,16 @@ impl Device {
         let committed = &self.trans.committed;
         self.log.fold(|g| committed.contains(&g));
 
-        // Drain accounting (flushes, preflushes, FUA writes).
-        let mut finished: Vec<(CmdId, DrainKind)> = Vec::new();
-        self.drains.retain_mut(|d| {
+        // Drain accounting (flushes, preflushes, FUA writes), in drain
+        // order.
+        let mut i = 0;
+        while let Some(d) = self.drains.get_mut(i) {
             d.remaining.remove(seq);
-            if d.remaining.is_empty() {
-                finished.push((d.id, d.kind));
-                false
-            } else {
-                true
+            if !d.remaining.is_empty() {
+                i += 1;
+                continue;
             }
-        });
-        for (id, kind) in finished {
+            let Drain { id, kind, .. } = self.drains.remove(i);
             match kind {
                 DrainKind::Flush => {
                     out.push(DevAction::After(

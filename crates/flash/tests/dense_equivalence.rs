@@ -8,10 +8,14 @@
 //! references) through identical random workloads and require every
 //! observable to match, so the refactor cannot silently change barrier
 //! semantics.
+//!
+//! The reference cache keeps the original full-list candidate scan as the
+//! oracle for the bounded, filtered scan the destage pump uses.
 
 use std::collections::{BTreeMap, HashMap};
 
 use bio_flash::{BlockTag, EntryState, Ftl, Lba, WritebackCache};
+use bio_sim::RunSet;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -135,27 +139,58 @@ impl RefCache {
     }
 }
 
+/// Decodes a random probe into a scan limit — 0, 1, small, or larger than
+/// any cache the workload builds — and a keep filter over sequences
+/// `1..=max_seq + 2` (so it may also name absent or future sequences).
+fn decode_probe(probe: u64, max_seq: u64) -> (usize, RunSet) {
+    let sel = (probe >> 2) as usize;
+    let limit = match probe & 3 {
+        0 => 0,
+        1 => 1,
+        2 => 2 + sel % 6,
+        _ => 64 + sel % 1000,
+    };
+    let mask = probe >> 8;
+    let keep = RunSet::from_sorted((1..=max_seq + 2).filter(|s| mask & (1 << (s % 56)) != 0));
+    (limit, keep)
+}
+
 /// Asserts every observable of the dense cache matches the reference.
+/// `probe` picks the limit and keep filter of the bounded candidate scan.
 fn assert_cache_equiv(
     dense: &WritebackCache,
     reference: &RefCache,
     lba_span: u64,
+    probe: u64,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     prop_assert_eq!(dense.len(), reference.entries.len());
     prop_assert_eq!(dense.is_empty(), reference.entries.is_empty());
     prop_assert_eq!(dense.current_epoch(), reference.current_epoch);
     prop_assert_eq!(dense.dirty_count(), reference.dirty_count());
     prop_assert_eq!(dense.min_pending_epoch(), reference.min_pending_epoch());
-    prop_assert_eq!(dense.pending_seqs(), reference.pending_seqs());
+    let (limit, keep) = decode_probe(probe, reference.next_seq);
+    let mut got = Vec::new();
     for lba_ordered in [false, true] {
         for bound in [None, reference.min_pending_epoch(), Some(0)] {
-            prop_assert_eq!(
-                dense.destage_candidates(bound, lba_ordered),
-                reference.destage_candidates(bound, lba_ordered),
-                "candidates diverge (bound {:?}, lba_ordered {})",
-                bound,
-                lba_ordered
-            );
+            let full = reference.destage_candidates(bound, lba_ordered);
+            for filter in [None, Some(&keep)] {
+                let expect: Vec<u64> = full
+                    .iter()
+                    .copied()
+                    .filter(|&s| filter.is_none_or(|k| k.contains(s)))
+                    .take(limit)
+                    .collect();
+                dense.destage_candidates(bound, lba_ordered, filter, limit, &mut got);
+                prop_assert_eq!(
+                    &got,
+                    &expect,
+                    "candidates diverge (bound {:?}, lba_ordered {}, limit {}, keep {:?})",
+                    bound,
+                    lba_ordered,
+                    limit,
+                    filter.map(|k| k.iter().collect::<Vec<_>>())
+                );
+            }
         }
     }
     for l in 0..lba_span {
@@ -182,17 +217,21 @@ proptest! {
     /// Random insert/mark/complete workloads (including out-of-order
     /// completions, as the orderless and LFS engines produce) leave the
     /// dense cache and the map-based reference in identical states.
+    ///
+    /// After every step, the bounded candidate scan must equal the
+    /// reference's full candidate list, filtered by a random keep set and
+    /// truncated to a random limit.
     #[test]
     fn cache_matches_map_reference(
         ops in prop::collection::vec(
-            (0u8..6, 0u64..LBA_SPAN, 0u64..1024, proptest::bool::ANY),
+            (0u8..6, 0u64..LBA_SPAN, 0u64..1024, proptest::bool::ANY, 0u64..u64::MAX),
             1..60,
         )
     ) {
         let mut dense = WritebackCache::new(1024);
         let mut reference = RefCache::new();
         let mut tag = 1u64;
-        for (op, lba, sel, flag) in ops {
+        for (op, lba, sel, flag, probe) in ops {
             match op {
                 // Inserts dominate so caches actually fill up.
                 0..=2 => {
@@ -224,7 +263,7 @@ proptest! {
                     }
                 }
             }
-            assert_cache_equiv(&dense, &reference, LBA_SPAN)?;
+            assert_cache_equiv(&dense, &reference, LBA_SPAN, probe)?;
         }
     }
 

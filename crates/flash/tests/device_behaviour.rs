@@ -148,6 +148,34 @@ fn fua_write_is_durable_at_completion() {
 }
 
 #[test]
+fn fua_write_coalescing_into_an_older_entry_completes() {
+    let mut h = Harness::new(DeviceProfile::ufs(), 6);
+    h.submit(wcmd(1, 1, 10, WriteFlags::NONE));
+    h.run_until_complete(CmdId(1));
+    // LBA 1 coalesces into the still-dirty entry of write 1, which has an
+    // older cache sequence than LBA 0's new entry: the FUA write's
+    // sequences are not ascending.
+    let fua = WriteFlags {
+        fua: true,
+        flush_before: false,
+        barrier: false,
+    };
+    h.submit(Command::write(
+        CmdId(2),
+        Lba(0),
+        vec![BlockTag(20), BlockTag(21)],
+        fua,
+    ));
+    h.run();
+    assert!(
+        h.completions.iter().any(|c| c.id == CmdId(2)),
+        "FUA write never completed"
+    );
+    assert_eq!(h.dev.crash_image().tag(Lba(0)), BlockTag(20));
+    assert_eq!(h.dev.crash_image().tag(Lba(1)), BlockTag(21));
+}
+
+#[test]
 fn flush_fua_write_drains_cache_first() {
     let mut h = Harness::new(DeviceProfile::ufs(), 7);
     h.submit(wcmd(1, 0, 10, WriteFlags::NONE));

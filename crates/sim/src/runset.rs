@@ -65,6 +65,11 @@ impl RunSet {
         self.runs.len()
     }
 
+    /// The largest key, if any.
+    pub fn last(&self) -> Option<u64> {
+        self.runs.last().map(|&(_, end)| end - 1)
+    }
+
     /// Index of the run containing `key`, if any.
     fn run_of(&self, key: u64) -> Option<usize> {
         let idx = self.runs.partition_point(|&(start, _)| start <= key);
@@ -165,6 +170,7 @@ mod tests {
         assert!(s.contains(4) && s.contains(9) && s.contains(20));
         assert!(!s.contains(6) && !s.contains(0) && !s.contains(21));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 4, 5, 9, 10, 20]);
+        assert_eq!(s.last(), Some(20));
     }
 
     #[test]
@@ -236,5 +242,6 @@ mod tests {
         assert!(!s.contains(0));
         assert!(!s.remove(0));
         assert_eq!(s.iter().count(), 0);
+        assert_eq!(s.last(), None);
     }
 }

@@ -32,6 +32,7 @@ proptest! {
             let mut expect: Vec<u64> = model.iter().copied().collect();
             expect.sort_unstable();
             let got: Vec<u64> = set.iter().collect();
+            prop_assert_eq!(set.last(), expect.last().copied());
             prop_assert_eq!(got, expect, "iteration must be sorted and complete");
         }
     }
